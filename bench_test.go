@@ -14,6 +14,7 @@ package tagdm
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"sync"
 	"testing"
@@ -516,6 +517,49 @@ func BenchmarkIncrementalRefresh(b *testing.B) {
 		if _, err := m.Refresh(); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkSnapshot measures one insert plus the Snapshot that publishes it
+// at 1x, 4x and 16x the small corpus' action count. A snapshot copies only
+// the groups and posting lists touched since the previous one, so the cost
+// grows with the size of those lists, not with the corpus. Each iteration
+// grows the corpus by one action.
+func BenchmarkSnapshot(b *testing.B) {
+	for _, scale := range []int{1, 4, 16} {
+		b.Run(fmt.Sprintf("x%d", scale), func(b *testing.B) {
+			cfg := datagen.Small()
+			cfg.Actions *= scale
+			world, err := datagen.Generate(cfg)
+			if err != nil {
+				b.Fatal(err)
+			}
+			ds := world.Dataset
+			m, err := incremental.New(ds, 5, signature.FrequencyOfSize(ds.Vocab.Size()))
+			if err != nil {
+				b.Fatal(err)
+			}
+			// The first snapshot copies everything; measure the ones after.
+			if _, err := m.Snapshot(); err != nil {
+				b.Fatal(err)
+			}
+			tag := ds.Vocab.ID("tag-00-0000")
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				a := model.TaggingAction{
+					User: int32(i % cfg.Users),
+					Item: int32(i % cfg.Items),
+					Tags: []model.TagID{tag},
+				}
+				if err := m.Insert(a); err != nil {
+					b.Fatal(err)
+				}
+				if _, err := m.Snapshot(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

@@ -396,7 +396,7 @@ func mergeSMLSH(res *Result, parts []Partial) {
 }
 
 // SolveSharded scatters one Solve across per-shard replica engines —
-// engines[i] must be a deep-copy replica of the same snapshot (identical
+// engines[i] must be a replica of the same snapshot (identical
 // groups, signatures, store and pair-function overrides) — and gathers the
 // partials into the Result a single-engine Solve would return. Context
 // cancellation fans out: the first shard error cancels the remaining

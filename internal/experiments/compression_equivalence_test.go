@@ -8,16 +8,21 @@ import (
 
 	"tagdm/internal/core"
 	"tagdm/internal/groups"
+	"tagdm/internal/store"
 )
 
-// compressedTwin rebuilds the setup's engine over a deep-copied store and
-// group universe with the container-compressed bitmap layout forced on
-// every posting list and tuple set. Signatures, LDA state and group IDs
+// compressedTwin rebuilds the setup's engine over a store rebuilt from the
+// same dataset and a deep-copied group universe, with the
+// container-compressed bitmap layout forced on every posting list and
+// tuple set. Signatures, LDA state and group IDs
 // are shared — only the bitmap representation differs, which is exactly
 // what the equivalence assertions isolate.
 func compressedTwin(t *testing.T, st *Setup) *Setup {
 	t.Helper()
-	stC := st.Store.Clone()
+	stC, err := store.New(st.World.Dataset)
+	if err != nil {
+		t.Fatal(err)
+	}
 	stC.ForceCompression(true)
 	gsC := make([]*groups.Group, len(st.Groups))
 	for i, g := range st.Groups {

@@ -82,26 +82,37 @@ func carrySpecs() []core.ProblemSpec {
 
 func assertSameResult(t *testing.T, label string, want, got core.Result) {
 	t.Helper()
+	if diff := diffResult(want, got); diff != "" {
+		t.Fatalf("%s: %s", label, diff)
+	}
+}
+
+// diffResult describes the first byte-level difference between two solver
+// outcomes (found flag, group IDs, objective bits, support), or returns ""
+// when there is none. It reports rather than fails so that non-test
+// goroutines can use it.
+func diffResult(want, got core.Result) string {
 	if want.Found != got.Found {
-		t.Fatalf("%s: found %v vs %v", label, got.Found, want.Found)
+		return fmt.Sprintf("found %v vs %v", got.Found, want.Found)
 	}
 	if !want.Found {
-		return
+		return ""
 	}
 	if len(want.Groups) != len(got.Groups) {
-		t.Fatalf("%s: set size %d vs %d", label, len(got.Groups), len(want.Groups))
+		return fmt.Sprintf("set size %d vs %d", len(got.Groups), len(want.Groups))
 	}
 	for i := range want.Groups {
 		if want.Groups[i].ID != got.Groups[i].ID {
-			t.Fatalf("%s: group %d is %d vs %d", label, i, got.Groups[i].ID, want.Groups[i].ID)
+			return fmt.Sprintf("group %d is %d vs %d", i, got.Groups[i].ID, want.Groups[i].ID)
 		}
 	}
 	if math.Float64bits(want.Objective) != math.Float64bits(got.Objective) {
-		t.Fatalf("%s: objective %v vs %v", label, got.Objective, want.Objective)
+		return fmt.Sprintf("objective %v vs %v", got.Objective, want.Objective)
 	}
 	if want.Support != got.Support {
-		t.Fatalf("%s: support %d vs %d", label, got.Support, want.Support)
+		return fmt.Sprintf("support %d vs %d", got.Support, want.Support)
 	}
+	return ""
 }
 
 // solveEpoch runs every applicable (family, spec) pair on the carried

@@ -19,6 +19,7 @@ package incremental
 
 import (
 	"fmt"
+	"slices"
 
 	"tagdm/internal/core"
 	"tagdm/internal/groups"
@@ -33,9 +34,9 @@ import (
 // Snapshot must be externally serialized (one goroutine, or a mutex).
 // Engines returned by Refresh share the maintainer's mutable state and must
 // not be used concurrently with further inserts; engines returned by
-// Snapshot are frozen copies that any number of goroutines may query while
-// the writer keeps inserting — the epoch/snapshot scheme internal/server
-// builds on.
+// Snapshot are frozen copy-on-write epochs that any number of goroutines
+// may query while the writer keeps inserting — the epoch/snapshot scheme
+// internal/server builds on.
 type Maintainer struct {
 	dataset   *model.Dataset
 	store     *store.Store
@@ -56,14 +57,16 @@ type Maintainer struct {
 
 	// dirtySnap accumulates the groups touched since the last Snapshot —
 	// unlike dirty it survives Refresh (which clears dirty when it
-	// re-summarizes) and is what the epoch carry-over hands the next
-	// snapshot's matrix cache: pair scores of two clean carried groups
-	// are bit-identical across epochs, so only rows touching dirtySnap
-	// need recomputing. prevCache/prevN remember the previous snapshot's
-	// cache and universe size for the AttachCarry link.
+	// re-summarizes). The next Snapshot copies exactly these groups and
+	// reuses frozen[id] for every other one, and the epoch carry-over
+	// hands the set to the next snapshot's matrix cache: pair scores of two
+	// clean carried groups are bit-identical across epochs, so only rows
+	// touching dirtySnap need recomputing. frozen is the previous
+	// snapshot's group universe and prevCache its matrix cache, the
+	// AttachCarry link.
 	dirtySnap map[int]bool
+	frozen    []*groups.Group
 	prevCache *core.MatrixCache
-	prevN     int
 
 	inserts int
 	version int64
@@ -288,8 +291,9 @@ func (m *Maintainer) Refresh() (*core.Engine, error) {
 }
 
 // Snapshot is a frozen, self-contained view of the maintained analysis:
-// an engine over a deep-copied store and group universe that later inserts
-// cannot touch.
+// an engine over an immutable store and group universe that later inserts
+// cannot touch. Everything a snapshot holds is immutable and may be shared
+// with the snapshots before and after it.
 type Snapshot struct {
 	// Engine answers queries against the frozen universe; safe for
 	// concurrent Solve calls.
@@ -308,11 +312,26 @@ type Snapshot struct {
 	VocabSize int
 }
 
-// Snapshot re-summarizes dirty groups and returns a frozen copy of the
-// analysis. Unlike Refresh, the result is isolated from subsequent inserts:
-// the store, group bitmaps and membership lists are deep-copied, so readers
-// may run queries on the snapshot while the writer keeps inserting. The
-// copy is O(store size); batch inserts between snapshots to amortize it.
+// Summarize re-summarizes the groups whose signatures inserts have made
+// stale. Snapshot and Refresh call it themselves; calling it first only
+// separates the summarize cost from the freeze cost.
+func (m *Maintainer) Summarize() { m.resummarize() }
+
+// Snapshot re-summarizes dirty groups and returns a frozen epoch of the
+// analysis. Unlike Refresh, the result is isolated from subsequent inserts,
+// so readers may run queries on the snapshot while the writer keeps
+// inserting. The epoch is copy-on-write over the previous one, so its cost
+// follows what changed since the last Snapshot, not the corpus:
+//
+//   - the store is a Store.Freeze view: columns and payloads are shared
+//     capped prefixes, and only the posting lists inserts touched are
+//     copied;
+//   - a group no insert touched (outside dirtySnap) is the previous
+//     snapshot's frozen group itself; touched and newly activated groups
+//     get a fresh bitmap copy and a capped alias of their append-only
+//     member list.
+//
+// Only the first snapshot copies everything.
 //
 // Pair matrices carry over: the new engine's cache is linked to the
 // previous snapshot's cache together with the set of groups touched since
@@ -323,19 +342,21 @@ type Snapshot struct {
 // build.
 func (m *Maintainer) Snapshot() (*Snapshot, error) {
 	m.resummarize()
-	st := m.store.Clone()
-	// The frozen copies are what analyses will union over; re-select their
-	// layout so a corpus that has grown large and sparse under ingest
-	// serves compressed kernels from the next epoch on. The live bitmaps
-	// stay as they are — appends mutate them in place.
-	st.Optimize()
+	st := m.store.Freeze()
+	// Every group activated since the previous snapshot is in dirtySnap,
+	// so the copied prefix plus the loop below fill every slot.
 	gs := make([]*groups.Group, len(m.active))
-	for i, g := range m.active {
-		gs[i] = &groups.Group{
-			ID:      g.ID,
-			Pred:    g.Pred, // terms are immutable once built
+	copy(gs, m.frozen)
+	for id := range m.dirtySnap {
+		g := m.active[id]
+		gs[id] = &groups.Group{
+			ID:   g.ID,
+			Pred: g.Pred, // terms are immutable once built
+			// Re-select the layout so a group that has grown large and
+			// sparse under ingest serves compressed kernels; the live
+			// bitmap stays as it is, since appends mutate it in place.
 			Tuples:  g.Tuples.Clone().Optimize(),
-			Members: append([]int(nil), g.Members...),
+			Members: slices.Clip(g.Members),
 		}
 	}
 	sigs := append([]signature.Signature(nil), m.sigs...)
@@ -344,16 +365,16 @@ func (m *Maintainer) Snapshot() (*Snapshot, error) {
 		return nil, err
 	}
 	if m.prevCache != nil {
-		dirty := make([]bool, m.prevN)
+		dirty := make([]bool, len(m.frozen))
 		for id := range m.dirtySnap {
-			if id < m.prevN {
+			if id < len(dirty) {
 				dirty[id] = true
 			}
 		}
 		eng.Cache().AttachCarry(m.prevCache, dirty)
 	}
 	m.prevCache = eng.Cache()
-	m.prevN = len(gs)
+	m.frozen = gs
 	m.dirtySnap = make(map[int]bool)
 	return &Snapshot{
 		Engine:    eng,
@@ -364,40 +385,28 @@ func (m *Maintainer) Snapshot() (*Snapshot, error) {
 	}, nil
 }
 
-// Replicate deep-copies a frozen Snapshot into an independent replica:
-// same Version and VocabSize, structurally identical store, groups and
-// signatures. The replica's store, groups and scorer scratch are private,
-// but the engine shares the receiver's pair-matrix cache: matrices are
-// immutable once built, so replicas can safely serve reads from one
-// materialization instead of each rebuilding identical n(n-1)/2 triangles.
-// Sharing the cache also carries engine-level pair-function overrides
-// (SetPairFunc) into every replica — a solve on any replica sees the same
-// measures the base engine was configured with. The receiver is already
-// frozen, so unlike Maintainer.Snapshot this runs outside the writer lock;
-// the publish path takes one Snapshot under the lock and fans replicas out
-// afterwards.
+// Replicate returns another replica of a frozen Snapshot: same Version,
+// VocabSize, store, groups and signatures, all of which are immutable and
+// therefore shared rather than copied. Only the Engine is new, so each
+// replica keeps private scorer scratch. The engine also shares the
+// receiver's pair-matrix cache: matrices are immutable once built, so
+// replicas can safely serve reads from one materialization instead of each
+// rebuilding identical n(n-1)/2 triangles. Sharing the cache also carries
+// engine-level pair-function overrides (SetPairFunc) into every replica —
+// a solve on any replica sees the same measures the base engine was
+// configured with. Replicate builds nothing but the engine and never
+// touches the maintainer, so the publish path runs it outside the writer
+// lock.
 func (s *Snapshot) Replicate() (*Snapshot, error) {
-	st := s.Store.Clone()
-	st.Optimize()
-	gs := make([]*groups.Group, len(s.Groups))
-	for i, g := range s.Groups {
-		gs[i] = &groups.Group{
-			ID:      g.ID,
-			Pred:    g.Pred, // terms are immutable once built
-			Tuples:  g.Tuples.Clone().Optimize(),
-			Members: append([]int(nil), g.Members...),
-		}
-	}
-	sigs := append([]signature.Signature(nil), s.Engine.Sigs...)
-	eng, err := core.NewEngine(st, gs, sigs)
+	eng, err := core.NewEngine(s.Store, s.Groups, s.Engine.Sigs)
 	if err != nil {
 		return nil, err
 	}
 	eng.AdoptCache(s.Engine)
 	return &Snapshot{
 		Engine:    eng,
-		Store:     st,
-		Groups:    gs,
+		Store:     s.Store,
+		Groups:    s.Groups,
 		Version:   s.Version,
 		VocabSize: s.VocabSize,
 	}, nil

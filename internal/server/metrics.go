@@ -114,6 +114,18 @@ var shardLabels = []string{
 	"24", "25", "26", "27", "28", "29", "30", "31",
 }
 
+// Snapshot publish phases: re-summarizing the groups inserts left stale,
+// freezing the copy-on-write epoch (store view, groups, engine), and
+// installing it (replica engines plus the atomic swap).
+const (
+	phaseSummarize = "summarize"
+	phaseFreeze    = "freeze"
+	phaseInstall   = "install"
+)
+
+//tagdm:label-set
+var publishPhases = []string{phaseSummarize, phaseFreeze, phaseInstall}
+
 // metrics is the server's obs.Registry plus handles to every series the
 // hot paths touch. /v1/stats reads the exact same atomics that /metrics
 // renders (via the Value/Count/Sum accessors), so the two views cannot
@@ -130,6 +142,7 @@ type metrics struct {
 	itemsCreated    *obs.Counter
 	ingestLatency   *obs.Histogram
 	snapshots       *obs.Counter
+	publishPhase    *obs.HistogramVec // {phase}
 
 	cacheHits   *obs.Counter
 	cacheMisses *obs.Counter
@@ -191,6 +204,9 @@ func newMetrics(shards int) *metrics {
 			obs.DefaultLatencyBuckets()),
 		snapshots: reg.Counter("tagdm_snapshots_published_total",
 			"Engine snapshots published."),
+		publishPhase: reg.HistogramVec("tagdm_snapshot_publish_seconds",
+			"Snapshot publish wall time in seconds, by phase (summarize, freeze, install).",
+			obs.DefaultLatencyBuckets(), "phase"),
 
 		cacheHits: reg.Counter("tagdm_cache_hits_total",
 			"Analyze results served from cache."),
@@ -260,6 +276,9 @@ func newMetrics(shards int) *metrics {
 	for _, ep := range endpointLabels {
 		m.requests.With(ep)
 		m.requestLatency.With(ep)
+	}
+	for _, phase := range publishPhases {
+		m.publishPhase.With(phase)
 	}
 	for _, fam := range solverFamilies {
 		m.solves.With(fam)

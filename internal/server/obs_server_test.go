@@ -6,6 +6,7 @@ import (
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -114,6 +115,39 @@ func TestMetricsPrometheusFormat(t *testing.T) {
 	}
 	if total != stats.Solve.Count {
 		t.Fatalf("per-family counts sum to %d, total says %d", total, stats.Solve.Count)
+	}
+}
+
+// TestSnapshotPublishPhases checks that one publish observes every phase
+// of tagdm_snapshot_publish_seconds exactly once: the boot publish, then
+// the one an ingest triggers.
+func TestSnapshotPublishPhases(t *testing.T) {
+	ts := httptest.NewServer(newTestServer(t, nil))
+	defer ts.Close()
+
+	counts := func(pt *obs.PromText) []float64 {
+		out := make([]float64, len(publishPhases))
+		for i, phase := range publishPhases {
+			v, ok := pt.Sample("tagdm_snapshot_publish_seconds_count", "phase", phase)
+			if !ok {
+				t.Fatalf("missing tagdm_snapshot_publish_seconds{phase=%q}", phase)
+			}
+			out[i] = v
+		}
+		return out
+	}
+	if got := counts(scrapeMetrics(t, ts)); !slices.Equal(got, []float64{1, 1, 1}) {
+		t.Fatalf("boot publish observed phases %v, want one each", got)
+	}
+	user, item := int32(0), int32(0)
+	resp, body := postJSON(t, ts, "/v1/actions", IngestRequest{Actions: []IngestAction{
+		{User: &user, Item: &item, Tags: []string{"gun"}},
+	}})
+	if resp.StatusCode != http.StatusOK || !strings.Contains(string(body), `"published":true`) {
+		t.Fatalf("ingest did not publish: %d %s", resp.StatusCode, body)
+	}
+	if got := counts(scrapeMetrics(t, ts)); !slices.Equal(got, []float64{2, 2, 2}) {
+		t.Fatalf("after one ingest publish phases %v, want two each", got)
 	}
 }
 

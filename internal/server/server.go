@@ -7,7 +7,8 @@
 // incremental.Maintainer guarded by a mutex; the read side is an immutable
 // engine snapshot published through an atomic pointer. Ingest batches
 // mutate the maintainer and, per the refresh policy, publish a fresh
-// deep-copied snapshot (see incremental.Maintainer.Snapshot); analyses
+// copy-on-write snapshot that shares everything the batch left untouched
+// with the previous epoch (see incremental.Maintainer.Snapshot); analyses
 // always solve against whatever snapshot is current, so readers observe a
 // consistent engine and never block behind a refresh — at the price of
 // bounded staleness (at most Config.RefreshEvery unpublished inserts).
@@ -915,8 +916,8 @@ func (s *Server) handleActions(w http.ResponseWriter, r *http.Request) {
 		resp.Pending = s.unpublished
 		s.mu.Unlock()
 		if err == nil {
-			// Replicating across shards happens outside s.mu so the write
-			// path never stalls behind O(store) copies.
+			// Replicating across shards happens outside s.mu; replicas
+			// share the frozen store and groups, so each costs one engine.
 			err = s.installSnapshot(base)
 		}
 		publishSpan.End()

@@ -37,23 +37,31 @@ func (ss *shardSet) primary() *incremental.Snapshot { return ss.snaps[0] }
 // captureLocked takes a fresh snapshot of the maintainer and resets the
 // unpublished counter. Callers hold s.mu (or are inside New, before the
 // server is shared); replication and installation happen outside the lock
-// via installSnapshot.
+// via installSnapshot. The snapshot is copy-on-write over the previous
+// epoch, so the time under the lock follows the groups and posting lists
+// touched since, not the corpus.
 func (s *Server) captureLocked() (*incremental.Snapshot, error) {
+	start := time.Now()
+	s.maint.Summarize()
+	summarized := time.Now()
 	snap, err := s.maint.Snapshot()
 	if err != nil {
 		return nil, err
 	}
+	s.metrics.publishPhase.With(phaseSummarize).Observe(summarized.Sub(start).Seconds())
+	s.metrics.publishPhase.With(phaseFreeze).Observe(time.Since(summarized).Seconds())
 	s.unpublished = 0
 	return snap, nil
 }
 
 // installSnapshot replicates base across the configured shard count and
-// publishes the set. Replication is O(store) per extra shard and runs
-// outside s.mu so it never stalls the write path; concurrent publishes are
-// ordered by epoch — the compare-and-swap loop declines to install only
-// when a strictly newer set already won, so a slow replication of an old
-// epoch can never clobber a newer published view.
+// publishes the set. Replicas share base's immutable store and groups and
+// build only their own engine; it runs outside s.mu all the same, and
+// concurrent publishes are ordered by epoch — the compare-and-swap loop
+// declines to install only when a strictly newer set already won, so a
+// slow install of an old epoch can never clobber a newer published view.
 func (s *Server) installSnapshot(base *incremental.Snapshot) error {
+	start := time.Now()
 	if s.cfg.MatrixBudgetBytes > 0 {
 		// Replicas adopt the base engine's cache, so one budget set here
 		// governs the whole replica set.
@@ -79,11 +87,12 @@ func (s *Server) installSnapshot(base *incremental.Snapshot) error {
 		}
 	}
 	s.metrics.snapshots.Inc()
+	s.metrics.publishPhase.With(phaseInstall).Observe(time.Since(start).Seconds())
 	return nil
 }
 
-// publish is capture + install: the snapshot copy happens under the write
-// lock, replication and the atomic swap outside it.
+// publish is capture + install: the snapshot is taken under the write
+// lock, replication and the atomic swap happen outside it.
 func (s *Server) publish() error {
 	s.mu.Lock()
 	base, err := s.captureLocked()

@@ -2,6 +2,7 @@ package store
 
 import (
 	"fmt"
+	"maps"
 	"strings"
 
 	"tagdm/internal/model"
@@ -53,6 +54,13 @@ type Store struct {
 	// postings[column key] = bitmap of tuple ids having that value.
 	postings map[postingKey]*Bitmap
 
+	// frozen[column key] is the copy of that posting list the last Freeze
+	// published, and touched holds the keys appended to since; Freeze
+	// re-copies only those. Both stay nil until the first Freeze, so bulk
+	// builds pay nothing for the bookkeeping.
+	frozen  map[postingKey]*Bitmap
+	touched map[postingKey]struct{}
+
 	n int
 }
 
@@ -89,7 +97,8 @@ func New(d *model.Dataset) (*Store, error) {
 // Optimize re-selects the representation of every posting list by the
 // density policy in compressed.go. Kernels are exact in either layout, so
 // this never changes query results — only their cost shape. Call it after
-// bulk builds or snapshot clones; per-Append re-selection would thrash.
+// bulk builds; per-Append re-selection would thrash (Freeze lays out its
+// copies the same way).
 func (s *Store) Optimize() {
 	for _, bm := range s.postings {
 		bm.Optimize()
@@ -98,7 +107,8 @@ func (s *Store) Optimize() {
 
 // ForceCompression converts every posting list to the compressed (on) or
 // dense (off) layout regardless of density — a test and benchmark hook for
-// exercising both layouts on the same corpus.
+// exercising both layouts on the same corpus. It rewrites bitmaps in place,
+// so never call it on a Freeze view.
 func (s *Store) ForceCompression(on bool) {
 	for _, bm := range s.postings {
 		if on {
@@ -150,6 +160,9 @@ func (s *Store) posting(k postingKey) *Bitmap {
 		bm = NewBitmap(s.n + 1)
 		s.postings[k] = bm
 	}
+	if s.frozen != nil {
+		s.touched[k] = struct{}{}
+	}
 	// Grow-before-Set keeps the universe ahead of every appended id in
 	// either layout; nothing here unions a larger universe into a smaller
 	// one, so this path never depended on Or's (formerly stale) growth.
@@ -171,36 +184,58 @@ func (s *Store) Append(d *model.Dataset, a model.TaggingAction) error {
 	return nil
 }
 
-// Clone returns a deep copy of the store that later Appends to s cannot
-// touch: column vectors, per-tuple payloads and posting bitmaps are all
-// copied. Schemas and the vocabulary are shared — they are append-only
-// dictionaries and safe for concurrent use — and the per-tuple tag slices
-// are shared because they are immutable once appended. Clone is what makes
-// snapshot-isolated readers possible while a Maintainer keeps inserting
-// (see internal/incremental.Maintainer.Snapshot).
-func (s *Store) Clone() *Store {
+// Freeze returns an immutable view of the store as it is now, which later
+// Appends to s cannot touch. Its cost is proportional to what changed since
+// the previous Freeze, not to the store:
+//
+//   - column vectors and per-tuple payloads are append-only, so the view
+//     aliases them capped at the current length; an append past the cap
+//     never writes into the view's prefix;
+//   - a posting list no append has touched since the previous Freeze is
+//     the very bitmap that Freeze published. Touched lists, and every list
+//     on the first Freeze, get a fresh copy in the layout Optimize picks.
+//     The layout depends only on a list's count and universe, neither of
+//     which moves while it is untouched, so a shared copy is the copy a
+//     deep clone would make.
+//
+// Schemas and the vocabulary are shared: they are append-only dictionaries
+// and safe for concurrent use. The live bitmaps are never handed out, so
+// Append keeps mutating them in place. The view's bitmaps are shared with
+// other views: never Append to it or ForceCompression it. Freeze is what
+// makes snapshot-isolated readers possible while a Maintainer keeps
+// inserting (see internal/incremental.Maintainer.Snapshot).
+func (s *Store) Freeze() *Store {
+	n := s.n
 	out := &Store{
 		UserSchema: s.UserSchema,
 		ItemSchema: s.ItemSchema,
 		Vocab:      s.Vocab,
 		userCols:   make([][]model.ValueCode, len(s.userCols)),
 		itemCols:   make([][]model.ValueCode, len(s.itemCols)),
-		users:      append([]int32(nil), s.users...),
-		items:      append([]int32(nil), s.items...),
-		tags:       append([][]model.TagID(nil), s.tags...),
-		ratings:    append([]float64(nil), s.ratings...),
-		postings:   make(map[postingKey]*Bitmap, len(s.postings)),
-		n:          s.n,
+		users:      s.users[:n:n],
+		items:      s.items[:n:n],
+		tags:       s.tags[:n:n],
+		ratings:    s.ratings[:n:n],
+		n:          n,
 	}
 	for ci, col := range s.userCols {
-		out.userCols[ci] = append([]model.ValueCode(nil), col...)
+		out.userCols[ci] = col[:n:n]
 	}
 	for ci, col := range s.itemCols {
-		out.itemCols[ci] = append([]model.ValueCode(nil), col...)
+		out.itemCols[ci] = col[:n:n]
 	}
-	for k, bm := range s.postings {
-		out.postings[k] = bm.Clone()
+	if s.frozen == nil {
+		s.frozen = make(map[postingKey]*Bitmap, len(s.postings))
+		s.touched = make(map[postingKey]struct{})
+		for k := range s.postings {
+			s.touched[k] = struct{}{}
+		}
 	}
+	for k := range s.touched {
+		s.frozen[k] = s.postings[k].Clone().Optimize()
+	}
+	clear(s.touched)
+	out.postings = maps.Clone(s.frozen)
 	return out
 }
 
@@ -322,6 +357,13 @@ func (s *Store) Eval(p Predicate) *Bitmap {
 		acc.And(bm)
 	}
 	return acc
+}
+
+// Posting returns the posting list of column c = value v, or nil when no
+// tuple has that value. The bitmap is the store's own: read it, never
+// modify it.
+func (s *Store) Posting(c Column, v model.ValueCode) *Bitmap {
+	return s.postings[postingKey{c.Side, c.Index, v}]
 }
 
 // Count returns the number of tuples matching p without materializing ids

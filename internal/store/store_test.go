@@ -1,6 +1,7 @@
 package store
 
 import (
+	"maps"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -302,35 +303,114 @@ func TestQuickEvalMatchesScan(t *testing.T) {
 	}
 }
 
-func TestStoreCloneIsolation(t *testing.T) {
+func TestStoreFreezeIsolation(t *testing.T) {
 	d, s := buildTestStore(t)
-	clone := s.Clone()
-	if clone.Len() != s.Len() {
-		t.Fatalf("clone Len = %d, want %d", clone.Len(), s.Len())
+	view := s.Freeze()
+	if view.Len() != s.Len() {
+		t.Fatalf("view Len = %d, want %d", view.Len(), s.Len())
 	}
-	pred, err := clone.ParsePredicate(map[string]string{"genre": "action"})
+	pred, err := view.ParsePredicate(map[string]string{"genre": "action"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	before := clone.Count(pred)
+	before := view.Count(pred)
 
-	// Appends to the original must not leak into the clone: not the tuple
+	// Appends to the original must not leak into the view: not the tuple
 	// count, not the posting lists, not the column vectors.
 	for i := 0; i < 3; i++ {
 		if err := s.Append(d, model.TaggingAction{User: 0, Item: 0, Tags: []model.TagID{0}}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if clone.Len() != 6 {
-		t.Fatalf("clone grew with the original: Len = %d", clone.Len())
+	if view.Len() != 6 {
+		t.Fatalf("view grew with the original: Len = %d", view.Len())
 	}
-	if got := clone.Count(pred); got != before {
-		t.Fatalf("clone postings changed: %d -> %d", before, got)
+	if got := view.Count(pred); got != before {
+		t.Fatalf("view postings changed: %d -> %d", before, got)
 	}
 	if s.Count(pred) == before {
 		t.Fatal("original postings did not grow")
 	}
-	if got := clone.Value(0, Column{SideUser, 0}); got != s.Value(0, Column{SideUser, 0}) {
-		t.Fatal("clone column data differs from original prefix")
+	if got := view.Value(0, Column{SideUser, 0}); got != s.Value(0, Column{SideUser, 0}) {
+		t.Fatal("view column data differs from original prefix")
+	}
+
+	// The next view shares every list the appends left alone and copies
+	// the four they touched (user 0's and item 0's attribute values).
+	next := s.Freeze()
+	fresh := 0
+	for k, bm := range next.postings {
+		if bm == s.postings[k] {
+			t.Fatalf("posting %v: view hands out the live bitmap", k)
+		}
+		if bm != view.postings[k] {
+			fresh++
+		}
+	}
+	if fresh != 4 || len(next.postings) != len(view.postings) {
+		t.Fatalf("second freeze copied %d of %d lists, want 4", fresh, len(next.postings))
+	}
+	if again := s.Freeze(); !maps.Equal(again.postings, next.postings) {
+		t.Fatal("freeze with no appends in between did not share every list")
+	}
+	for k, bm := range next.postings {
+		if bm != view.postings[k] {
+			continue
+		}
+		if got, want := bm.Count(), s.postings[k].Count(); got != want {
+			t.Fatalf("shared posting %v count %d, live %d", k, got, want)
+		}
+	}
+}
+
+// TestStoreFreezeMatchesRebuild checks a view taken after several
+// append/freeze rounds against a store built from scratch over the same
+// action prefix: length, columns, payloads, posting counts and layouts.
+func TestStoreFreezeMatchesRebuild(t *testing.T) {
+	d, s := buildTestStore(t)
+	rng := rand.New(rand.NewSource(3))
+	var views []*Store
+	var prefixes []int
+	for round := 0; round < 5; round++ {
+		views = append(views, s.Freeze())
+		prefixes = append(prefixes, s.Len())
+		for i := 0; i < 1+rng.Intn(4); i++ {
+			a := model.TaggingAction{User: int32(rng.Intn(len(d.Users))), Item: int32(rng.Intn(len(d.Items))), Tags: []model.TagID{0}}
+			if err := s.Append(d, a); err != nil {
+				t.Fatal(err)
+			}
+			d.Actions = append(d.Actions, a)
+		}
+	}
+	for vi, view := range views {
+		pd := *d
+		pd.Actions = d.Actions[:prefixes[vi]]
+		ref, err := New(&pd)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if view.Len() != ref.Len() {
+			t.Fatalf("view %d: Len %d, rebuild %d", vi, view.Len(), ref.Len())
+		}
+		for tu := 0; tu < ref.Len(); tu++ {
+			for _, c := range ref.Columns() {
+				if view.Value(tu, c) != ref.Value(tu, c) {
+					t.Fatalf("view %d tuple %d column %v differs", vi, tu, c)
+				}
+			}
+			if view.TupleUser(tu) != ref.TupleUser(tu) || view.TupleItem(tu) != ref.TupleItem(tu) {
+				t.Fatalf("view %d tuple %d payload differs", vi, tu)
+			}
+		}
+		if len(view.postings) != len(ref.postings) {
+			t.Fatalf("view %d: %d posting lists, rebuild %d", vi, len(view.postings), len(ref.postings))
+		}
+		for k, want := range ref.postings {
+			got := view.postings[k]
+			if got == nil || !reflect.DeepEqual(got.Slice(), want.Slice()) ||
+				got.Universe() != want.Universe() || got.IsCompressed() != want.IsCompressed() {
+				t.Fatalf("view %d posting %v differs from rebuild", vi, k)
+			}
+		}
 	}
 }
